@@ -25,9 +25,9 @@
 //!   parallel scaling. Only enforced when the host actually has ≥ 4 CPUs
 //!   (`host_cpus` is recorded in the JSON either way).
 //! * **fine at 8 threads ≥ 3× fine at 1 thread, mixed-mutation** — the
-//!   *write path* scales too: with the epoch read-side, per-hart id
-//!   allocation and batched backend flushes, lifecycle churn must not
-//!   serialize on the metadata locks. Only enforced at `host_cpus >= 8`;
+//!   *write path* scales too: with the table snapshots and batched
+//!   backend flushes, lifecycle churn must not serialize on the metadata
+//!   locks. Only enforced at `host_cpus >= 8`;
 //!   the ratio is recorded in the JSON either way.
 //! * **`--baseline PATH`** — single-thread FineGrained read-mostly
 //!   throughput must not regress more than 2× against the committed JSON,
@@ -50,10 +50,6 @@ const MAX_REGRESSION_FACTOR: f64 = 2.0;
 const CONTENTION_FLOOR: f64 = 2.0;
 const SCALING_FLOOR: f64 = 2.0;
 const MIXED_SCALING_FLOOR: f64 = 3.0;
-/// Per-hart id-allocation batch for the fine-grained cells (the global-lock
-/// cells keep the legacy batch of 1: the giant lock serializes allocation
-/// anyway, and batch 1 is the configuration the determinism suite pins).
-const FINE_ID_BATCH: usize = 16;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 #[derive(Debug, Clone, Copy)]
@@ -89,10 +85,6 @@ fn run_cell(
         concurrent_machine_config(),
         SmConfig {
             locking,
-            id_batch: match locking {
-                LockingMode::FineGrained => FINE_ID_BATCH,
-                LockingMode::Global => 1,
-            },
             ..SmConfig::default()
         },
     );

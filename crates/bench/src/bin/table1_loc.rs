@@ -3,8 +3,20 @@
 //! platform-independent monitor logic, the rest being cryptography, standard
 //! library pieces and boot/platform support).
 //!
+//! Usage:
+//!
+//! ```text
+//! table1_loc [--out PATH] [--baseline PATH]
+//! ```
+//!
+//! * `--out PATH` — write the SM and TCB code-LOC figures as JSON.
+//! * `--baseline PATH` — exit non-zero if the platform-independent SM or
+//!   the TCB code LOC exceeds the committed JSON (a one-sided ratchet: the
+//!   counts may shrink freely, growth needs a refreshed baseline).
+//!
 //! Run with: `cargo run -p sanctorum-bench --bin table1_loc`
 
+use sanctorum_bench::extract_number;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -61,6 +73,17 @@ fn count_loc(dir: &Path) -> (usize, usize) {
 }
 
 fn main() {
+    let mut out: Option<String> = None;
+    let mut baseline: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => out = Some(args.next().expect("--out PATH")),
+            "--baseline" => baseline = Some(args.next().expect("--baseline PATH")),
+            other => panic!("unknown argument {other:?}"),
+        }
+    }
+
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let groups: &[(&str, &[&str], &str)] = &[
         (
@@ -97,6 +120,7 @@ fn main() {
 
     println!("Table 1 — implementation size of this reproduction");
     println!("{:<44} {:>10} {:>12}   note", "component", "code LOC", "LOC w/tests");
+    let mut sm_code = 0;
     let mut tcb_total = 0;
     for (name, dirs, note) in groups {
         let mut total = 0;
@@ -105,6 +129,9 @@ fn main() {
             let (t, c) = count_loc(&root.join(dir));
             total += t;
             code += c;
+        }
+        if *name == "platform-independent SM" {
+            sm_code = code;
         }
         if *name == "platform-independent SM"
             || *name == "platform-specific backends"
@@ -117,4 +144,34 @@ fn main() {
     println!();
     println!("reproduction TCB analogue (SM + backends + crypto): {tcb_total} LOC");
     println!("paper's reported TCB: 5785 LOC total (5264 C + 521 asm), 1011 LOC platform-independent");
+
+    if let Some(path) = &out {
+        let json = format!(
+            r#"{{
+  "bench": "table1_loc",
+  "sm_code_loc": {sm_code},
+  "tcb_code_loc": {tcb_total}
+}}
+"#
+        );
+        fs::write(path, json).expect("write result JSON");
+        println!("wrote {path}");
+    }
+
+    if let Some(path) = &baseline {
+        let text = fs::read_to_string(path).expect("read baseline JSON");
+        let mut grew = false;
+        for (key, current) in [("sm_code_loc", sm_code), ("tcb_code_loc", tcb_total)] {
+            let committed = extract_number(&text, key)
+                .unwrap_or_else(|| panic!("baseline JSON has a {key} field"));
+            println!("baseline {path}: {key} {committed} committed, {current} now");
+            if current as f64 > committed {
+                eprintln!("LOC GATE FAILED: {key} grew from {committed} to {current}");
+                grew = true;
+            }
+        }
+        if grew {
+            std::process::exit(2);
+        }
+    }
 }

@@ -13,12 +13,10 @@
 //! | 5    | audit cache |
 //! | 10+k | resource shard *k* (shards acquired in ascending *k*) |
 //! | 30   | enclave table |
-//! | 34   | enclave-table epoch cell (snapshot publish / retire) |
+//! | 34   | enclave-table snapshot (`Arc` clone / publish) |
 //! | 40   | one `EnclaveMeta` |
 //! | 50   | thread table |
-//! | 54   | thread-table epoch cell (snapshot publish / retire) |
-//! | 55   | one per-hart id-cache slot |
-//! | 56   | the shared id pool |
+//! | 54   | thread-table snapshot (`Arc` clone / publish) |
 //! | 60   | one `ThreadMeta` |
 //! | 70   | core-occupancy table |
 //! | 80   | mail quota ledger |
@@ -29,8 +27,8 @@
 //! | 110  | verifier challenge DRBG |
 //! | 112  | one verifier challenge shard |
 //! | 113  | verifier writer mutex (serializes trust / chain-cache publishes) |
-//! | 114  | verifier trust-state epoch cell (roots / revocation / measurements) |
-//! | 118  | verifier chain-cache epoch cell |
+//! | 114  | verifier trust-state snapshot (roots / revocation / measurements) |
+//! | 118  | verifier chain-cache snapshot |
 //! | 120  | one verifier session-pool shard |
 //!
 //! The verifier tier (ranks 110+) sits entirely above the monitor: a
@@ -54,6 +52,7 @@ use parking_lot::{
     Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Position of one lock in the monitor's total acquisition order. Lower
 /// ranks are acquired first; see the module docs for the full table.
@@ -73,23 +72,18 @@ pub mod rank {
     pub const RESOURCE_SHARD_BASE: u16 = 10;
     /// The enclave table (id → metadata handle).
     pub const ENCLAVE_TABLE: LockRank = LockRank(30);
-    /// The enclave table's epoch cell: writers publish a fresh snapshot
-    /// while still holding the table write lock (rank 30), so the epoch
-    /// domain sits directly above the table it mirrors.
+    /// The enclave table's published snapshot (`Arc` behind a read-write
+    /// lock): writers swap in a fresh snapshot while still holding the
+    /// table write lock (rank 30), so it sits directly above the table it
+    /// mirrors.
     pub const ENCLAVE_EPOCH: LockRank = LockRank(34);
     /// One enclave's metadata record.
     pub const ENCLAVE_META: LockRank = LockRank(40);
     /// The thread table (id → metadata handle).
     pub const THREAD_TABLE: LockRank = LockRank(50);
-    /// The thread table's epoch cell; same publish-under-the-write-lock
-    /// protocol as `ENCLAVE_EPOCH`.
+    /// The thread table's published snapshot; same
+    /// publish-under-the-write-lock protocol as `ENCLAVE_EPOCH`.
     pub const THREAD_EPOCH: LockRank = LockRank(54);
-    /// One per-hart id-cache slot of the thread-id allocator. Only one slot
-    /// is ever held at a time, and a refill then takes the pool above it.
-    pub const ID_SLOT: LockRank = LockRank(55);
-    /// The shared id pool the per-hart caches refill from (acquired with a
-    /// slot lock held, hence strictly above `ID_SLOT`).
-    pub const ID_POOL: LockRank = LockRank(56);
     /// One thread's metadata record.
     pub const THREAD_META: LockRank = LockRank(60);
     /// The core-occupancy table.
@@ -119,14 +113,14 @@ pub mod rank {
     /// shard is ever held at a time (a nonce names exactly one shard).
     pub const VERIFIER_CHALLENGE_SHARD: LockRank = LockRank(112);
     /// The verifier's writer mutex: serializes every publish into the trust
-    /// and chain-cache epoch cells (both sit strictly above it, so a writer
+    /// and chain-cache snapshots (both sit strictly above it, so a writer
     /// rebuilds and publishes a snapshot while holding this mutex).
     pub const VERIFIER_WRITER: LockRank = LockRank(113);
-    /// The verifier's trust-state epoch cell (manufacturer roots, trusted
+    /// The verifier's trust-state snapshot (manufacturer roots, trusted
     /// measurements, revocation list). Read on every evidence check;
     /// rotation / revocation publishes under `VERIFIER_WRITER`.
     pub const VERIFIER_TRUST_EPOCH: LockRank = LockRank(114);
-    /// The verifier's chain-cache epoch cell (validated certificate chains).
+    /// The verifier's chain-cache snapshot (validated certificate chains).
     pub const VERIFIER_CHAIN_EPOCH: LockRank = LockRank(118);
     /// One shard of a verifier-side session pool. Above the whole verify
     /// path: a session is filed strictly after every trust/chain structure
@@ -213,25 +207,6 @@ mod checker {
 }
 
 use checker::RankToken;
-
-/// RAII witness that the current thread logically "holds" `rank` — the hook
-/// lock-free structures (the epoch cells, the id allocator's internals) use
-/// to participate in the same debug-build hierarchy checking as the ordered
-/// locks, even though their synchronization is atomics rather than a mutex.
-/// Dropping the guard pops the rank from the thread's shadow stack.
-#[derive(Debug)]
-pub(crate) struct RankGuard {
-    _token: RankToken,
-}
-
-/// Records `rank` as held on this thread until the returned guard drops,
-/// panicking (debug builds) if any currently held rank is ≥ `rank` — the
-/// same rule [`OrderedMutex::lock`] enforces.
-pub(crate) fn hold(rank: LockRank) -> RankGuard {
-    RankGuard {
-        _token: checker::acquire(rank),
-    }
-}
 
 /// A [`parking_lot::Mutex`] that participates in the monitor's lock order:
 /// every acquisition (blocking *and* try) is checked against the thread's
@@ -352,6 +327,22 @@ impl<T: ?Sized> OrderedRwLock<T> {
             guard,
             _token: token,
         })
+    }
+}
+
+impl<T> OrderedRwLock<Arc<T>> {
+    /// Clones the published snapshot under a brief read lock, so the caller
+    /// can walk it without holding the lock.
+    pub fn snapshot(&self) -> Arc<T> {
+        Arc::clone(&self.read())
+    }
+
+    /// Swaps in `next` under the write lock. The replaced snapshot is
+    /// dropped after the guard is released: it is freed when its last
+    /// reader lets go, and no reader waits on the free.
+    pub fn publish(&self, next: Arc<T>) {
+        let previous = std::mem::replace(&mut *self.write(), next);
+        drop(previous);
     }
 }
 
@@ -589,6 +580,18 @@ mod tests {
         drop(gh);
         // Clean slate: low is acquirable once the high guard is gone.
         let _gl = low.lock();
+    }
+
+    #[test]
+    fn a_held_snapshot_survives_publish_until_released() {
+        let table = OrderedRwLock::new(LockRank(34), Arc::new(1u64));
+        let held = table.snapshot();
+        let replaced = Arc::downgrade(&held);
+        table.publish(Arc::new(2));
+        assert_eq!(*table.snapshot(), 2);
+        assert_eq!(*held, 1, "a reader's snapshot is immutable despite the publish");
+        drop(held);
+        assert!(replaced.upgrade().is_none(), "freed with its last reader");
     }
 
     #[test]

@@ -25,9 +25,7 @@
 use crate::api::{CallOutcome, SmApi, SmCall};
 use crate::boot::SmIdentity;
 use crate::enclave::{EnclaveLifecycle, EnclaveMeta, PhysWindow};
-use crate::epoch::EpochCell;
 use crate::error::{SmError, SmResult};
-use crate::idalloc::IdAllocator;
 use crate::lockorder::{
     rank, OrderedMutex, OrderedMutexGuard, OrderedRwLock, SpinLock,
 };
@@ -84,12 +82,6 @@ pub struct SmConfig {
     /// an enclave with exactly this measurement may retrieve the attestation
     /// key.
     pub signing_enclave_measurement: Option<Measurement>,
-    /// Thread-id allocation batch size (see [`crate::idalloc::IdAllocator`]).
-    /// The default of `1` reproduces the historical monotone, never-reused
-    /// id sequence bit-for-bit (the pinned determinism digests depend on
-    /// it); concurrent harnesses raise it so each hart draws ids from a
-    /// private batch instead of contending on the shared counter.
-    pub id_batch: usize,
 }
 
 impl Default for SmConfig {
@@ -99,7 +91,6 @@ impl Default for SmConfig {
             max_enclaves: 32,
             max_threads: 128,
             signing_enclave_measurement: None,
-            id_batch: 1,
         }
     }
 }
@@ -202,26 +193,27 @@ struct SmState {
     /// through this table but only lifecycle calls mutate it, so lookups
     /// take shared read locks and proceed in parallel across harts.
     enclaves: OrderedRwLock<BTreeMap<EnclaveId, EnclaveHandle>>,
-    /// Epoch-published snapshot of the enclave table (rank `ENCLAVE_EPOCH`):
-    /// readers resolve ids through [`EpochCell::load`] and never block on a
-    /// lifecycle call holding the table write lock. Writers publish a new
+    /// Published snapshot of the enclave table (rank `ENCLAVE_EPOCH`):
+    /// readers clone the `Arc` under a brief read lock and never wait on a
+    /// lifecycle call holding the table write lock. Writers swap in a new
     /// snapshot *while still holding* the `enclaves` write lock (which
     /// serializes publishes) and *before* bumping `enclaves_generation`, so
-    /// the audit's read-generation-first convention stays conservative.
-    enclave_epoch: EpochCell<BTreeMap<EnclaveId, EnclaveHandle>>,
+    /// the audit's read-generation-first convention stays conservative. A
+    /// replaced snapshot is freed when its last reader drops it.
+    enclave_epoch: OrderedRwLock<Arc<BTreeMap<EnclaveId, EnclaveHandle>>>,
     /// Read-mostly (rank `THREAD_TABLE`), same pattern as the enclave table.
     threads: OrderedRwLock<BTreeMap<ThreadId, ThreadHandle>>,
-    /// Epoch-published snapshot of the thread table (rank `THREAD_EPOCH`),
+    /// Published snapshot of the thread table (rank `THREAD_EPOCH`),
     /// same protocol as `enclave_epoch`.
-    thread_epoch: EpochCell<BTreeMap<ThreadId, ThreadHandle>>,
+    thread_epoch: OrderedRwLock<Arc<BTreeMap<ThreadId, ThreadHandle>>>,
     /// Which enclave thread currently occupies each core (rank `OCCUPANCY`).
     /// Read-mostly (dispatch probes it on every event; only enter/exit/AEX
     /// write).
     core_occupancy: OrderedRwLock<BTreeMap<CoreId, ThreadId>>,
-    /// Thread-id source: per-hart batched caches over a shared pool (ranks
-    /// `ID_SLOT` / `ID_POOL`). At the default batch size of 1 it degenerates
-    /// to the historical shared monotone counter with no id reuse.
-    tids: IdAllocator,
+    /// Next thread id. Ids are monotone from `0x1000` and never reused, the
+    /// sequence the pinned determinism digests depend on. Only drawn under
+    /// the `threads` write lock, so the counter itself never contends.
+    next_tid: AtomicU64,
     /// Relaxed count of live enclaves — the lock-free fast path for
     /// diagnostics (`Debug` formatting must never take the table lock: it
     /// deadlocked when a monitor was formatted while a call held enclave
@@ -656,7 +648,6 @@ impl SecurityMonitor {
         }
         let platform = backend.platform_name();
         let capacity = backend.capacity();
-        let id_batch = config.id_batch;
         Self {
             machine,
             backend: OrderedMutex::new(rank::BACKEND, backend),
@@ -668,11 +659,11 @@ impl SecurityMonitor {
             state: SmState {
                 resources,
                 enclaves: OrderedRwLock::new(rank::ENCLAVE_TABLE, BTreeMap::new()),
-                enclave_epoch: EpochCell::new(rank::ENCLAVE_EPOCH, BTreeMap::new()),
+                enclave_epoch: OrderedRwLock::new(rank::ENCLAVE_EPOCH, Arc::default()),
                 threads: OrderedRwLock::new(rank::THREAD_TABLE, BTreeMap::new()),
-                thread_epoch: EpochCell::new(rank::THREAD_EPOCH, BTreeMap::new()),
+                thread_epoch: OrderedRwLock::new(rank::THREAD_EPOCH, Arc::default()),
                 core_occupancy: OrderedRwLock::new(rank::OCCUPANCY, BTreeMap::new()),
-                tids: IdAllocator::new(0x1000, id_batch),
+                next_tid: AtomicU64::new(0x1000),
                 live_enclaves: AtomicU64::new(0),
                 enclaves_generation: AtomicU64::new(0),
                 threads_generation: AtomicU64::new(0),
@@ -776,11 +767,11 @@ impl SecurityMonitor {
     }
 
     fn lock_enclave(&self, eid: EnclaveId) -> SmResult<EnclaveHandle> {
-        // Epoch read-side: resolve through the published snapshot, never
-        // blocking on a lifecycle call that holds the table write lock.
+        // Resolve through the published snapshot, never blocking on a
+        // lifecycle call that holds the table write lock.
         self.state
             .enclave_epoch
-            .load()
+            .read()
             .get(&eid)
             .cloned()
             .ok_or(SmError::UnknownEnclave(eid))
@@ -789,15 +780,15 @@ impl SecurityMonitor {
     fn lock_thread(&self, tid: ThreadId) -> SmResult<ThreadHandle> {
         self.state
             .thread_epoch
-            .load()
+            .read()
             .get(&tid)
             .cloned()
             .ok_or(SmError::UnknownThread(tid))
     }
 
-    /// Publishes the enclave table's current contents as a new epoch
-    /// snapshot. Must be called *while still holding* the `enclaves` write
-    /// lock (that lock serializes publishers) and *before* the matching
+    /// Publishes the enclave table's current contents as a new snapshot.
+    /// Must be called *while still holding* the `enclaves` write lock (that
+    /// lock serializes publishers) and *before* the matching
     /// `touch_enclave_table`, so a reader of the bumped generation always
     /// sees at least the published snapshot.
     fn publish_enclaves(&self, table: &BTreeMap<EnclaveId, EnclaveHandle>) {
@@ -946,15 +937,6 @@ impl SecurityMonitor {
         self.state.quarantine.lock().iter().copied().collect()
     }
 
-    /// Retired epoch snapshots not yet reclaimed, summed across the enclave
-    /// and thread table epochs. [`SecurityMonitor::audit`] quiesces both
-    /// epochs, so at a quiescent barrier (no concurrent readers) an audit
-    /// leaves this at zero — the explorer checks exactly that, pinning the
-    /// epoch read-side against unbounded retire-list growth.
-    pub fn epoch_retired_len(&self) -> usize {
-        self.state.enclave_epoch.retired_len() + self.state.thread_epoch.retired_len()
-    }
-
     /// Parks `region` in the quarantine set (stays `Blocked`; `clean` and
     /// `grant` refuse it with [`SmError::Again`] until
     /// [`SecurityMonitor::recover`] scrubs it successfully). Legal with the
@@ -996,10 +978,6 @@ impl SecurityMonitor {
             }
         }
         report.quarantine_remaining = self.state.quarantine.lock().len();
-        // Recovery is a quiescent point by definition: drain the epochs the
-        // crashed call (and the replay above) retired.
-        self.state.enclave_epoch.quiesce();
-        self.state.thread_epoch.quiesce();
         report
     }
 
@@ -1009,7 +987,7 @@ impl SecurityMonitor {
     fn replay_entry(&self, entry: JournalEntry) {
         match entry {
             JournalEntry::CreateEnclave { eid, regions } => {
-                if self.state.enclave_epoch.load().contains_key(&eid) {
+                if self.state.enclave_epoch.read().contains_key(&eid) {
                     // The table insert is the commit point; past it the
                     // create fully happened and there is nothing to undo.
                     return;
@@ -1087,7 +1065,7 @@ impl SecurityMonitor {
     /// blocking locks and skips validation — the crashed call already passed
     /// it.
     fn redo_delete(&self, eid: EnclaveId) {
-        let handle = self.state.enclave_epoch.load().get(&eid).cloned();
+        let handle = self.state.enclave_epoch.read().get(&eid).cloned();
         let Some(enclave) = handle else {
             // The table removal already happened; the post-removal sweep may
             // not have. Anything still owned by the dead id gets re-parked.
@@ -1111,22 +1089,14 @@ impl SecurityMonitor {
             }
             return;
         };
-        // Thread slots: remove whatever the crashed call had not yet. Only
-        // ids actually removed *here* are freed — anything already gone was
-        // freed by the crashed call before it died, and freeing it again
-        // would put one id in two harts' caches.
+        // Thread slots: remove whatever the crashed call had not yet.
         let owned_tids: Vec<ThreadId> = enclave.lock().threads.clone();
-        let removed_tids: Vec<ThreadId> = {
+        {
             let mut threads = self.state.threads.write();
-            let removed = owned_tids
-                .into_iter()
-                .filter(|tid| threads.remove(tid).is_some())
-                .collect();
+            for tid in &owned_tids {
+                threads.remove(tid);
+            }
             self.publish_threads(&threads);
-            removed
-        };
-        for tid in removed_tids {
-            self.state.tids.free(tid);
         }
         self.touch_threads();
         // Region sweep, same skip-already-blocked discipline as the API path.
@@ -1150,7 +1120,7 @@ impl SecurityMonitor {
         // the API path: ids are recycled physical addresses).
         let mut purged_any = false;
         {
-            let table = self.state.enclave_epoch.load();
+            let table = self.state.enclave_epoch.snapshot();
             for (other_id, other) in table.iter() {
                 if *other_id == eid {
                     continue;
@@ -1280,10 +1250,10 @@ impl SecurityMonitor {
         meta.measurement()
     }
 
-    /// Returns the ids of all live enclaves (diagnostic; epoch snapshot,
-    /// never blocks on a lifecycle call).
+    /// Returns the ids of all live enclaves (diagnostic; published
+    /// snapshot, never blocks on a lifecycle call).
     pub fn enclaves(&self) -> Vec<EnclaveId> {
-        self.state.enclave_epoch.load().keys().copied().collect()
+        self.state.enclave_epoch.read().keys().copied().collect()
     }
 
     /// Returns the number of live enclaves from the relaxed counter — the
@@ -1320,11 +1290,11 @@ impl SecurityMonitor {
 
         let enclaves_gen = self.state.enclaves_generation.load(Ordering::Relaxed);
         if cache.enclaves_gen != enclaves_gen {
-            // Epoch read-side: the audit walks the published snapshot and
-            // never blocks a lifecycle call. The generation was read before
-            // the load, so a publish racing this walk only makes the data
+            // The audit walks the published snapshot and never blocks a
+            // lifecycle call. The generation was read before the snapshot
+            // was taken, so a publish racing this walk only makes the data
             // newer than the recorded generation (conservative rebuild).
-            let table = self.state.enclave_epoch.load();
+            let table = self.state.enclave_epoch.snapshot();
             cache.enclaves.retain(|eid, _| table.contains_key(eid));
             for (eid, enclave) in table.iter() {
                 let meta = enclave.lock();
@@ -1377,12 +1347,6 @@ impl SecurityMonitor {
         }
         generations.quarantine = cache.quarantine_gen;
 
-        // Audits run at the explorer's quiescent barriers, so this is where
-        // epochs retired by table publishes drain (snapshots still held by a
-        // straggling reader simply survive to the next audit).
-        self.state.enclave_epoch.quiesce();
-        self.state.thread_epoch.quiesce();
-
         AuditSnapshot {
             resources: Arc::clone(&cache.resources),
             enclaves: cache.enclaves_vec.clone(),
@@ -1404,7 +1368,7 @@ impl SecurityMonitor {
         let enclaves = self
             .state
             .enclave_epoch
-            .load()
+            .snapshot()
             .values()
             .map(|enclave| Arc::new(Self::enclave_audit(&enclave.lock())))
             .collect();
@@ -1462,8 +1426,10 @@ impl SecurityMonitor {
         }
     }
 
-    /// Returns the current state of a resource (diagnostic / test helper;
-    /// locks only the resource's shard).
+    /// Returns the current state of a resource, the OS's ownership probe.
+    /// Regions are read from the seqlock mirror without taking a lock;
+    /// only a read that races a writer, or a core query, locks the
+    /// resource's shard (see [`ShardedResourceMap::state`]).
     ///
     /// # Errors
     ///
@@ -1493,9 +1459,9 @@ impl SecurityMonitor {
     }
 
     /// Returns the ids of all live threads (diagnostic; no metadata cloned;
-    /// epoch snapshot, never blocks on a lifecycle call).
+    /// published snapshot, never blocks on a lifecycle call).
     pub fn thread_ids(&self) -> Vec<ThreadId> {
-        self.state.thread_epoch.load().keys().copied().collect()
+        self.state.thread_epoch.read().keys().copied().collect()
     }
 
     /// Returns a thread's current state machine position without cloning the
@@ -1686,7 +1652,7 @@ impl SmApi for SecurityMonitor {
             }
             windows.sort_by_key(|w| w.base);
             let eid = EnclaveId::new(windows[0].base.as_u64());
-            if self.state.enclave_epoch.load().contains_key(&eid) {
+            if self.state.enclave_epoch.read().contains_key(&eid) {
                 return Err(SmError::InvalidState {
                     reason: "an enclave already uses this memory",
                 });
@@ -1904,9 +1870,7 @@ impl SmApi for SecurityMonitor {
                         resource: "thread metadata slots",
                     });
                 }
-                let tid = self.state.tids.alloc().ok_or(SmError::OutOfResources {
-                    resource: "thread ids",
-                })?;
+                let tid = self.state.next_tid.fetch_add(1, Ordering::Relaxed);
                 let thread = ThreadMeta::loaded(tid, eid, entry_pc, fault_handler_pc);
                 threads.insert(tid, Arc::new(OrderedMutex::new(rank::THREAD_META, thread)));
                 self.publish_threads(&threads);
@@ -1971,7 +1935,7 @@ impl SmApi for SecurityMonitor {
                 });
             }
             let owned_tids: Vec<ThreadId> = {
-                let threads = self.state.thread_epoch.load();
+                let threads = self.state.thread_epoch.snapshot();
                 for tid in &meta.threads {
                     if let Some(thread) = threads.get(tid) {
                         if matches!(thread.lock().state, ThreadState::Running { .. }) {
@@ -1994,19 +1958,12 @@ impl SmApi for SecurityMonitor {
                 // Removing it while the enclave guard is held means any
                 // later `enter_enclave` that squeezes in before the table
                 // removal fails on the thread lookup.
-                let removed_tids: Vec<ThreadId> = {
+                {
                     let mut threads = self.state.threads.write();
-                    let removed: Vec<ThreadId> = owned_tids
-                        .into_iter()
-                        .filter(|tid| threads.remove(tid).is_some())
-                        .collect();
+                    for tid in &owned_tids {
+                        threads.remove(tid);
+                    }
                     self.publish_threads(&threads);
-                    removed
-                };
-                // The slots are gone from the table; their ids return to the
-                // allocator (per-hart cache first, spilling to the pool).
-                for tid in removed_tids {
-                    self.state.tids.free(tid);
                 }
                 self.touch_threads();
                 // Block all of the enclave's regions (they stay
@@ -2056,7 +2013,7 @@ impl SmApi for SecurityMonitor {
                 // the ledger is settled afterwards on its own.
                 let mut purged_any = false;
                 {
-                    let table = self.state.enclave_epoch.load();
+                    let table = self.state.enclave_epoch.snapshot();
                     for (other_id, other) in table.iter() {
                         if *other_id == eid {
                             continue;
@@ -2293,7 +2250,7 @@ impl SmApi for SecurityMonitor {
             // check fails here — or removes it afterwards and catches this
             // grant in its post-removal sweep.
             if let DomainKind::Enclave(eid) = new_owner {
-                if !self.state.enclave_epoch.load().contains_key(&eid) {
+                if !self.state.enclave_epoch.read().contains_key(&eid) {
                     return Err(SmError::UnknownEnclave(eid));
                 }
             }
@@ -2482,9 +2439,7 @@ impl SmApi for SecurityMonitor {
                     resource: "thread metadata slots",
                 });
             }
-            let tid = self.state.tids.alloc().ok_or(SmError::OutOfResources {
-                resource: "thread ids",
-            })?;
+            let tid = self.state.next_tid.fetch_add(1, Ordering::Relaxed);
             threads.insert(
                 tid,
                 Arc::new(OrderedMutex::new(
@@ -2511,14 +2466,10 @@ impl SmApi for SecurityMonitor {
                     });
                 }
             }
-            let removed = {
+            {
                 let mut threads = self.state.threads.write();
-                let removed = threads.remove(&tid).is_some();
+                threads.remove(&tid);
                 self.publish_threads(&threads);
-                removed
-            };
-            if removed {
-                self.state.tids.free(tid);
             }
             self.touch_threads();
             Ok(())
@@ -2804,5 +2755,51 @@ impl SmApi for SecurityMonitor {
             .batched_calls
             .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
         Ok(outcomes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::boot::secure_boot;
+    use sanctorum_machine::MachineConfig;
+    use sanctorum_sanctum::SanctumBackend;
+
+    fn sanctum_monitor() -> SecurityMonitor {
+        let machine = Arc::new(Machine::new(MachineConfig::small()));
+        let identity = secure_boot(machine.root_of_trust(), b"monitor unit tests");
+        let backend = Box::new(SanctumBackend::new(Arc::clone(&machine)));
+        SecurityMonitor::new(machine, backend, identity, SmConfig::default())
+    }
+
+    #[test]
+    fn delete_frees_the_enclave_without_an_audit_and_never_reuses_thread_ids() {
+        let sm = sanctum_monitor();
+        let os = CallerSession::os();
+        let region = ResourceId::Region(RegionId::new(1));
+        sm.block_resource(os, region).expect("block");
+        sm.clean_resource(os, region).expect("clean");
+        let eid = sm
+            .create_enclave(os, VirtAddr::new(0x10000), 0x4000, &[RegionId::new(1)])
+            .expect("create");
+        let tids: Vec<ThreadId> = (0..2)
+            .map(|_| sm.load_thread(os, eid, 0x10000, None).expect("load thread"))
+            .collect();
+        assert_eq!(tids, [0x1000, 0x1001]);
+        let enclave = Arc::downgrade(&sm.lock_enclave(eid).expect("live enclave"));
+        let thread = Arc::downgrade(&sm.lock_thread(tids[0]).expect("live thread"));
+
+        // No audit or recovery runs: replaced table snapshots must not keep
+        // the deleted enclave's metadata alive.
+        sm.delete_enclave(os, eid).expect("delete");
+        assert!(enclave.upgrade().is_none(), "deleted enclave's handle leaked");
+        assert!(thread.upgrade().is_none(), "deleted thread's handle leaked");
+
+        // Ids stay monotone: neither an enclave delete nor a thread delete
+        // hands an id out twice.
+        let next = sm.create_thread(os, 0x40).expect("create thread");
+        assert_eq!(next, 0x1002);
+        sm.delete_thread(os, next).expect("delete thread");
+        assert_eq!(sm.create_thread(os, 0x40).expect("create thread"), 0x1003);
     }
 }

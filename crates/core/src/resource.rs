@@ -92,8 +92,8 @@ const TAG_AVAILABLE: u64 = 3;
 const OWNER_UNTRUSTED: u64 = 1;
 const OWNER_SM: u64 = 2;
 /// High bit marks an enclave owner; the low 63 bits carry the enclave id.
-/// Enclave ids are small monotone counters (`idalloc` starts at 0x1000),
-/// so the bit never collides with a real id.
+/// Enclave ids are physical base addresses, far below 2^63, so the bit
+/// never collides with a real id.
 const OWNER_ENCLAVE_BIT: u64 = 1 << 63;
 
 fn encode_domain(domain: DomainKind) -> u64 {
@@ -593,11 +593,18 @@ impl ShardedResourceMap {
     }
 
     /// Returns the state of one resource. Region queries first try the
-    /// lock-free seqlock mirror — the common case on the audit/authorize hot
-    /// path — and fall back to locking the region's shard when the optimistic
-    /// read loses a race with a writer (or the region is unmirrored:
-    /// out-of-range index, or never registered). Core queries always use the
-    /// shard lock; cores are few and cold.
+    /// lock-free seqlock mirror and fall back to locking the region's shard
+    /// when the optimistic read loses a race with a writer (or the region is
+    /// unmirrored: out-of-range index, or never registered). Core queries
+    /// always use the shard lock; cores are few and cold.
+    ///
+    /// The callers are [`crate::monitor::SecurityMonitor::resource_state`]
+    /// (the OS's ownership probe) and recovery's `Grant` replay; audits use
+    /// [`Self::snapshot`] and authorization locks the shard. The mirror
+    /// stays because readers beside lifecycle writers would otherwise queue
+    /// on the shard lock: forcing the locked path raised the two-hart
+    /// contended workload's median call latency by 19% (0.564 → 0.673 µs,
+    /// five paired runs on a 2-CPU host).
     ///
     /// # Errors
     ///

@@ -16,9 +16,9 @@
 //! `SessionPool` take `&self` everywhere and are safe to drive from many
 //! threads at once — challenges and sessions live in index-interleaved
 //! shards under ranked locks, while the read-mostly trust state (manufacturer
-//! roots, revocation list, chain cache) flips atomically between epochs via
-//! `sanctorum_core::epoch::EpochCell`, so verification never blocks on a
-//! certificate rotation.
+//! roots, revocation list, chain cache) is an `Arc` snapshot swapped
+//! atomically between epochs under a ranked `OrderedRwLock`, so verification
+//! waits on a certificate rotation only for the swap itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,13 +13,13 @@
 //!   generations is evicted the next time its shard files a new one, with
 //!   evictions surfaced in [`VerifierStats`].
 //! * **Trust state** (accepted manufacturer roots, trusted measurements, the
-//!   device revocation list) is an [`EpochCell`] snapshot: every evidence
-//!   check reads it without blocking, while rotation and revocation build
-//!   the next epoch under the writer mutex and flip it atomically with
-//!   [`EpochCell::publish`].
+//!   device revocation list) is an `Arc` snapshot behind a ranked
+//!   read-write lock: every evidence check clones it under a brief read
+//!   lock, while rotation and revocation build the next epoch under the
+//!   writer mutex and swap it in with one write.
 //! * The **chain cache** (validated device/SM certificate chains) is a
-//!   second `EpochCell`: a hit skips both certificate verifications without
-//!   taking any lock; a miss verifies the chain and publishes the grown
+//!   second such snapshot: a hit skips both certificate verifications; a
+//!   miss verifies the chain and publishes the grown
 //!   cache under the same writer mutex. Revoking a device or retiring a
 //!   root also purges the matching cache entries in the same publish, so a
 //!   stale cache can never resurrect a revoked chain.
@@ -30,8 +30,7 @@
 
 use crate::session::SecureSession;
 use sanctorum_core::attestation::AttestationEvidence;
-use sanctorum_core::epoch::EpochCell;
-use sanctorum_core::lockorder::{rank, OrderedMutex};
+use sanctorum_core::lockorder::{rank, OrderedMutex, OrderedRwLock};
 use sanctorum_core::measurement::Measurement;
 use sanctorum_crypto::ct::ct_eq;
 use sanctorum_crypto::drbg::ChaChaDrbg;
@@ -165,9 +164,9 @@ pub struct RemoteVerifier {
     /// Serializes all epoch publishes. lock rank: rank::VERIFIER_WRITER
     writer: OrderedMutex<()>,
     /// lock rank: rank::VERIFIER_TRUST_EPOCH
-    trust: EpochCell<TrustState>,
+    trust: OrderedRwLock<Arc<TrustState>>,
     /// lock rank: rank::VERIFIER_CHAIN_EPOCH
-    chain_cache: EpochCell<BTreeMap<[u8; 32], ChainEntry>>,
+    chain_cache: OrderedRwLock<Arc<BTreeMap<[u8; 32], ChainEntry>>>,
     /// Generation counter: one tick per issued challenge.
     generation: AtomicU64,
     /// TTL in generations beyond which an unconsumed challenge is evicted.
@@ -181,7 +180,7 @@ pub struct RemoteVerifier {
 
 impl fmt::Debug for RemoteVerifier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let trust = self.trust.load();
+        let trust = self.trust.snapshot();
         write!(
             f,
             "RemoteVerifier {{ trust_epoch: {}, roots: {}, measurements: {}, revoked: {}, outstanding: {} }}",
@@ -208,16 +207,16 @@ impl RemoteVerifier {
                 .map(|_| OrderedMutex::new(rank::VERIFIER_CHALLENGE_SHARD, ChallengeShard::default()))
                 .collect(),
             writer: OrderedMutex::new(rank::VERIFIER_WRITER, ()),
-            trust: EpochCell::new(
+            trust: OrderedRwLock::new(
                 rank::VERIFIER_TRUST_EPOCH,
-                TrustState {
+                Arc::new(TrustState {
                     roots: vec![manufacturer_root],
                     measurements: trusted_measurements,
                     revoked_devices: BTreeSet::new(),
                     epoch: 0,
-                },
+                }),
             ),
-            chain_cache: EpochCell::new(rank::VERIFIER_CHAIN_EPOCH, BTreeMap::new()),
+            chain_cache: OrderedRwLock::new(rank::VERIFIER_CHAIN_EPOCH, Arc::default()),
             generation: AtomicU64::new(0),
             challenge_ttl: AtomicU64::new(DEFAULT_CHALLENGE_TTL),
             outstanding: AtomicUsize::new(0),
@@ -235,25 +234,23 @@ impl RemoteVerifier {
     /// check that starts after the publish sees the new state.
     fn publish_trust(&self, mutate: impl FnOnce(&mut TrustState)) {
         let _writer = self.writer.lock();
-        let mut next = (*self.trust.load()).clone();
+        let mut next = (*self.trust.snapshot()).clone();
         mutate(&mut next);
         next.epoch += 1;
         self.trust.publish(Arc::new(next));
-        self.trust.quiesce();
     }
 
     /// Rebuilds the chain cache under the writer mutex, keeping only the
     /// entries `keep` approves.
     fn retain_chains(&self, keep: impl Fn(&ChainEntry) -> bool) {
         let _writer = self.writer.lock();
-        let current = self.chain_cache.load();
+        let current = self.chain_cache.snapshot();
         let next: BTreeMap<[u8; 32], ChainEntry> = current
             .iter()
             .filter(|(_, entry)| keep(entry))
             .map(|(fp, entry)| (*fp, *entry))
             .collect();
         self.chain_cache.publish(Arc::new(next));
-        self.chain_cache.quiesce();
     }
 
     /// Adds a measurement to the trusted set (next trust epoch).
@@ -288,13 +285,6 @@ impl RemoteVerifier {
         self.retain_chains(|entry| entry.device_key != device_key.to_bytes());
     }
 
-    /// Drops trust-state and chain-cache snapshots retired by past epoch
-    /// publishes that no reader still holds (callable from any thread; also
-    /// runs opportunistically on every publish).
-    pub fn quiesce(&self) -> usize {
-        self.trust.quiesce() + self.chain_cache.quiesce()
-    }
-
     // ---- stats --------------------------------------------------------------
 
     /// Number of challenges currently outstanding.
@@ -313,11 +303,11 @@ impl RemoteVerifier {
         VerifierStats {
             outstanding_challenges: self.outstanding.load(Ordering::Relaxed),
             chain_cache_hits: self.chain_cache_hits.load(Ordering::Relaxed),
-            chain_cache_entries: self.chain_cache.load().len(),
+            chain_cache_entries: self.chain_cache.snapshot().len(),
             evicted_challenges: self.evicted_challenges.load(Ordering::Relaxed),
             verified_sessions: self.verified_sessions.load(Ordering::Relaxed),
             rejected_evidence: self.rejected_evidence.load(Ordering::Relaxed),
-            trust_epoch: self.trust.load().epoch,
+            trust_epoch: self.trust.snapshot().epoch,
         }
     }
 
@@ -465,7 +455,7 @@ impl RemoteVerifier {
             return Err(VerifyError::RevokedChain);
         }
         let fingerprint = Self::chain_fingerprint(evidence);
-        if let Some(entry) = self.chain_cache.load().get(&fingerprint) {
+        if let Some(entry) = self.chain_cache.snapshot().get(&fingerprint) {
             self.chain_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(*entry);
         }
@@ -495,8 +485,8 @@ impl RemoteVerifier {
             return;
         }
         let _writer = self.writer.lock();
-        let trust = self.trust.load();
-        let current = self.chain_cache.load();
+        let trust = self.trust.snapshot();
+        let current = self.chain_cache.snapshot();
         let mut next = (*current).clone();
         for (fingerprint, entry) in chains {
             if !trust.revoked_devices.contains(&entry.device_key)
@@ -506,7 +496,6 @@ impl RemoteVerifier {
             }
         }
         self.chain_cache.publish(Arc::new(next));
-        self.chain_cache.quiesce();
     }
 
     /// The checks downstream of challenge consumption: chain, report
@@ -576,7 +565,7 @@ impl RemoteVerifier {
     ) -> Result<SecureSession, VerifyError> {
         let result = (|| {
             let dh_secret = self.take_challenge(&evidence.report.nonce)?;
-            let trust = self.trust.load();
+            let trust = self.trust.snapshot();
             let chain = self.validate_chain(evidence, &trust, true);
             self.verify_evidence(evidence, enclave_dh_public, dh_secret, &trust, chain)
         })();
@@ -593,13 +582,13 @@ impl RemoteVerifier {
         &self,
         items: &[(AttestationEvidence, [u8; 32])],
     ) -> Vec<Result<SecureSession, VerifyError>> {
-        let trust = self.trust.load();
+        let trust = self.trust.snapshot();
         let mut resolved: BTreeMap<[u8; 32], Result<ChainEntry, VerifyError>> = BTreeMap::new();
         let mut fresh: Vec<([u8; 32], ChainEntry)> = Vec::new();
         for (evidence, _) in items {
             let fingerprint = Self::chain_fingerprint(evidence);
             resolved.entry(fingerprint).or_insert_with(|| {
-                let had_entry = self.chain_cache.load().contains_key(&fingerprint);
+                let had_entry = self.chain_cache.snapshot().contains_key(&fingerprint);
                 let outcome = self.validate_chain(evidence, &trust, false);
                 if let Ok(entry) = outcome {
                     if !had_entry {
