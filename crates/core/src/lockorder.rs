@@ -583,6 +583,17 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_returns_the_latest_published_value() {
+        let table = OrderedRwLock::new(LockRank(34), Arc::new(1u64));
+        assert_eq!(*table.snapshot(), 1);
+        table.publish(Arc::new(2));
+        assert_eq!(*table.snapshot(), 2);
+        table.publish(Arc::new(3));
+        table.publish(Arc::new(4));
+        assert_eq!(*table.snapshot(), 4);
+    }
+
+    #[test]
     fn a_held_snapshot_survives_publish_until_released() {
         let table = OrderedRwLock::new(LockRank(34), Arc::new(1u64));
         let held = table.snapshot();
