@@ -108,6 +108,24 @@ impl KeccakSponge {
     }
 
     fn absorb(&mut self, data: &[u8]) {
+        // Finish a partly filled block byte by byte (no bytes when the block
+        // is empty), XOR each whole block in lane by lane (every rate here
+        // is a whole number of lanes), and leave the tail in the state byte
+        // by byte.
+        let head = data.len().min((self.rate - self.offset) % self.rate);
+        let (head, rest) = data.split_at(head);
+        self.absorb_bytes(head);
+        let mut blocks = rest.chunks_exact(self.rate);
+        for block in &mut blocks {
+            for (lane, word) in self.state.iter_mut().zip(block.chunks_exact(8)) {
+                *lane ^= u64::from_le_bytes(word.try_into().expect("8-byte lane"));
+            }
+            keccak_f1600(&mut self.state);
+        }
+        self.absorb_bytes(blocks.remainder());
+    }
+
+    fn absorb_bytes(&mut self, data: &[u8]) {
         for &byte in data {
             let lane = self.offset / 8;
             let shift = (self.offset % 8) * 8;
@@ -272,48 +290,10 @@ impl Default for Shake256 {
     }
 }
 
-/// SHAKE128 extendable-output function (FIPS 202).
-#[derive(Debug, Clone)]
-pub struct Shake128 {
-    sponge: KeccakSponge,
-}
-
-impl Shake128 {
-    /// Sponge rate in bytes.
-    pub const RATE: usize = 168;
-
-    /// Creates a new SHAKE128 instance.
-    pub fn new() -> Self {
-        Self {
-            sponge: KeccakSponge::new(Self::RATE, 0x1f),
-        }
-    }
-
-    /// Absorbs `data`.
-    pub fn update(&mut self, data: &[u8]) {
-        self.sponge.absorb(data);
-    }
-
-    /// Finalizes and squeezes `out.len()` bytes of output.
-    pub fn finalize_into(self, out: &mut [u8]) {
-        self.sponge.finalize_into(out);
-    }
-}
-
-impl Default for Shake128 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 /// Formats a digest as lowercase hex (handy for logs, tests and the bench
 /// harness tables).
 pub fn to_hex(bytes: &[u8]) -> String {
-    hex(bytes)
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]
@@ -420,11 +400,134 @@ mod tests {
     }
 
     #[test]
+    fn sha3_256_200_bytes_of_a3() {
+        // NIST's 1600-bit message of repeated 0xa3: whole blocks plus a tail.
+        assert_eq!(
+            to_hex(&Sha3_256::digest(&[0xa3u8; 200])),
+            "79f38adec5c20307a98ef76e8324afbfd46cfd81b22e3973c65fa1bd9de31787"
+        );
+    }
+
+    #[test]
     fn keccak_permutation_changes_state() {
         let mut s = [0u64; 25];
         keccak_f1600(&mut s);
-        // Known first lane of Keccak-f[1600] applied to the all-zero state.
-        assert_eq!(s[0], 0xf1258f7940e1dde7);
-        assert_eq!(s[1], 0x84d5ccf933c0478a);
+        // Keccak-f[1600] applied to the all-zero state, lanes in x + 5*y order
+        // (the Keccak team's KeccakF-1600-IntermediateValues).
+        #[rustfmt::skip]
+        let expected: [u64; 25] = [
+            0xf1258f7940e1dde7, 0x84d5ccf933c0478a, 0xd598261ea65aa9ee, 0xbd1547306f80494d,
+            0x8b284e056253d057, 0xff97a42d7f8e6fd4, 0x90fee5a0a44647c4, 0x8c5bda0cd6192e76,
+            0xad30a6f71b19059c, 0x30935ab7d08ffc64, 0xeb5aa93f2317d635, 0xa9a6e6260d712103,
+            0x81a57c16dbcf555f, 0x43b831cd0347c826, 0x01f22f1a11a5569f, 0x05e5635a21d9ae61,
+            0x64befef28cc970f2, 0x613670957bc46611, 0xb87c5a554fd00ecb, 0x8c3ee88a1ccf32c8,
+            0x940c7922ae3a2614, 0x1841f924a2c509e4, 0x16f53526e70465c2, 0x75f644e97f30a13b,
+            0xeaf1ff7b5ceca249,
+        ];
+        assert_eq!(s, expected);
+    }
+
+    /// The byte-at-a-time absorb the block path replaced, kept as the
+    /// reference it is checked against.
+    fn reference_absorb(sponge: &mut KeccakSponge, data: &[u8]) {
+        for &byte in data {
+            let lane = sponge.offset / 8;
+            let shift = (sponge.offset % 8) * 8;
+            sponge.state[lane] ^= (byte as u64) << shift;
+            sponge.offset += 1;
+            if sponge.offset == sponge.rate {
+                keccak_f1600(&mut sponge.state);
+                sponge.offset = 0;
+            }
+        }
+    }
+
+    /// Output length in bytes and a fresh sponge for each SHA-3 type (rates
+    /// 136, 104, 72 and 136).
+    fn sponges() -> [(usize, fn() -> KeccakSponge); 4] {
+        [
+            (Sha3_256::DIGEST_LEN, || Sha3_256::new().sponge),
+            (Sha3_384::DIGEST_LEN, || Sha3_384::new().sponge),
+            (Sha3_512::DIGEST_LEN, || Sha3_512::new().sponge),
+            (64, || Shake256::new().sponge),
+        ]
+    }
+
+    fn squeeze(sponge: KeccakSponge, out_len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; out_len];
+        sponge.finalize_into(&mut out);
+        out
+    }
+
+    /// Absorbs `data` in the given chunk lengths through the block path and
+    /// in one piece through the reference, and compares the outputs.
+    fn check_chunked(out_len: usize, new: fn() -> KeccakSponge, data: &[u8], cuts: &[usize]) {
+        let mut block = new();
+        let mut rest = data;
+        for &cut in cuts {
+            let (chunk, tail) = rest.split_at(cut);
+            block.absorb(chunk);
+            rest = tail;
+        }
+        block.absorb(rest);
+        let mut reference = new();
+        reference_absorb(&mut reference, data);
+        let rate = reference.rate;
+        assert_eq!(
+            squeeze(block, out_len),
+            squeeze(reference, out_len),
+            "rate {rate} len {} cuts {cuts:?}",
+            data.len()
+        );
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn block_absorb_matches_reference_at_every_length() {
+        for (out_len, new) in sponges() {
+            let rate = new().rate;
+            for len in 0..=3 * rate + 8 {
+                check_chunked(out_len, new, &pattern(len), &[]);
+            }
+        }
+    }
+
+    #[test]
+    fn block_absorb_matches_reference_at_every_split() {
+        for (out_len, new) in sponges() {
+            let data = pattern(3 * new().rate + 8);
+            for cut in 0..=data.len() {
+                check_chunked(out_len, new, &data, &[cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn block_absorb_matches_reference_on_random_chunkings() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            // xorshift64
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        for (out_len, new) in sponges() {
+            let rate = new().rate;
+            for _ in 0..64 {
+                let data = pattern(next(3 * rate + 9));
+                let mut cuts = Vec::new();
+                let mut left = data.len();
+                while left > 0 && cuts.len() < 8 {
+                    let cut = next(left.min(rate + 9) + 1);
+                    cuts.push(cut);
+                    left -= cut;
+                }
+                check_chunked(out_len, new, &data, &cuts);
+            }
+        }
     }
 }
