@@ -2732,7 +2732,7 @@ impl SmApi for SecurityMonitor {
                 // A compact, self-describing encoding: subject key ‖ info len ‖
                 // info ‖ issuer key ‖ signature.
                 let cert = &self.identity.sm_certificate;
-                let mut out = Vec::new();
+                let mut out = Vec::with_capacity(32 + 8 + cert.subject_info.len() + 32 + 64);
                 out.extend_from_slice(&cert.subject_public_key.to_bytes());
                 out.extend_from_slice(&(cert.subject_info.len() as u64).to_le_bytes());
                 out.extend_from_slice(&cert.subject_info);

@@ -34,12 +34,13 @@ impl std::error::Error for MemError {}
 /// Every mutating access sets the bit of each page it touches; consumers
 /// drain the set bits. Marking is a superset of actual content changes
 /// (rewriting a page with identical bytes still marks it), so drains never
-/// under-report — the guarantee incremental scanners rely on.
+/// under-report — the guarantee incremental scanners rely on. The
+/// may-be-nonzero map is cleared a page at a time instead (`take`).
 #[derive(Clone, Default)]
 struct DirtyBitmap {
     words: Vec<u64>,
     pages: usize,
-    /// Fast-path flag: `true` while no bit is set.
+    /// Fast-path flag: `true` only while no bit is set.
     clean: bool,
 }
 
@@ -57,6 +58,14 @@ impl DirtyBitmap {
             self.words[page / 64] |= 1u64 << (page % 64);
         }
         self.clean = false;
+    }
+
+    /// Clears `page`'s bit and returns whether it was set.
+    fn take(&mut self, page: usize) -> bool {
+        let (word, bit) = (&mut self.words[page / 64], 1u64 << (page % 64));
+        let was_set = *word & bit != 0;
+        *word &= !bit;
+        was_set
     }
 
     fn mark_all(&mut self) {
@@ -94,6 +103,11 @@ impl DirtyBitmap {
 /// two have independent cursors, so draining one never hides writes from the
 /// other.
 ///
+/// A third bitmap marks the pages that *may be nonzero*: its bit is set by
+/// every write and cleared only when [`PhysMemory::zero_page`] fills the
+/// page. A page whose bit is clear holds only zeros, so zeroing it skips the
+/// fill. Contents, dirty marking and digests are the same either way.
+///
 /// # Examples
 ///
 /// ```
@@ -119,6 +133,9 @@ pub struct PhysMemory {
     page_digests: Vec<u64>,
     /// XOR-fold of `page_digests`.
     digest_acc: u64,
+    /// Pages written since they were last zeroed; a clear bit means the
+    /// page is all zeros.
+    maybe_nonzero: DirtyBitmap,
 }
 
 impl fmt::Debug for PhysMemory {
@@ -152,6 +169,7 @@ impl PhysMemory {
             digest_dirty,
             page_digests: vec![0u64; pages],
             digest_acc: 0,
+            maybe_nonzero: DirtyBitmap::new(pages),
         }
     }
 
@@ -170,6 +188,18 @@ impl PhysMemory {
         let last = (offset + len - 1) / PAGE_SIZE;
         self.dirty.mark_range(first, last);
         self.digest_dirty.mark_range(first, last);
+    }
+
+    /// The bytes of `[offset, offset + len)` for writing — the one way a
+    /// writer reaches `bytes`. Marks the pages dirty in both dirty bitmaps
+    /// and may-be-nonzero. `offset_of` has already validated the range.
+    fn writable(&mut self, offset: usize, len: usize) -> &mut [u8] {
+        self.mark_dirty(offset, len);
+        if len > 0 {
+            self.maybe_nonzero
+                .mark_range(offset / PAGE_SIZE, (offset + len - 1) / PAGE_SIZE);
+        }
+        &mut self.bytes[offset..offset + len]
     }
 
     /// Returns the indices (relative to [`PhysMemory::base`]) of every page
@@ -253,8 +283,7 @@ impl PhysMemory {
     /// Returns [`MemError::OutOfRange`] if the range is not populated.
     pub fn write_bytes(&mut self, addr: PhysAddr, data: &[u8]) -> Result<(), MemError> {
         let offset = self.offset_of(addr, data.len())?;
-        self.bytes[offset..offset + data.len()].copy_from_slice(data);
-        self.mark_dirty(offset, data.len());
+        self.writable(offset, data.len()).copy_from_slice(data);
         Ok(())
     }
 
@@ -279,7 +308,9 @@ impl PhysMemory {
     }
 
     /// Zeroes the 4 KiB page containing `addr` (used when cleaning memory
-    /// before re-allocation to another protection domain).
+    /// before re-allocation to another protection domain). A page not
+    /// written since it was last zeroed is already zero and is not filled
+    /// again; it is marked dirty either way.
     ///
     /// # Errors
     ///
@@ -287,20 +318,10 @@ impl PhysMemory {
     pub fn zero_page(&mut self, addr: PhysAddr) -> Result<(), MemError> {
         let page_base = addr.align_down();
         let offset = self.offset_of(page_base, PAGE_SIZE)?;
-        self.bytes[offset..offset + PAGE_SIZE].fill(0);
+        if self.maybe_nonzero.take(offset / PAGE_SIZE) {
+            self.bytes[offset..offset + PAGE_SIZE].fill(0);
+        }
         self.mark_dirty(offset, PAGE_SIZE);
-        Ok(())
-    }
-
-    /// Zeroes an arbitrary page-aligned range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfRange`] if the range is not populated.
-    pub fn zero_range(&mut self, addr: PhysAddr, len: usize) -> Result<(), MemError> {
-        let offset = self.offset_of(addr, len)?;
-        self.bytes[offset..offset + len].fill(0);
-        self.mark_dirty(offset, len);
         Ok(())
     }
 
@@ -336,6 +357,7 @@ impl PhysMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mem() -> PhysMemory {
         PhysMemory::new(PhysAddr::new(0x8000_0000), 16 * PAGE_SIZE)
@@ -375,6 +397,20 @@ mod tests {
         m.zero_page(PhysAddr::new(0x8000_1123)).unwrap();
         assert_eq!(m.read_u64(PhysAddr::new(0x8000_1008)).unwrap(), 0);
         assert_eq!(m.read_u64(PhysAddr::new(0x8000_2008)).unwrap(), 0x2222);
+    }
+
+    #[test]
+    fn zero_page_rearms_after_a_later_write() {
+        let mut m = mem();
+        let addr = PhysAddr::new(0x8000_4010);
+        m.write_u64(addr, 0xaaaa).unwrap();
+        m.zero_page(addr).unwrap();
+        assert_eq!(m.read_u64(addr).unwrap(), 0);
+        // The write after the first zero must make the second one fill again.
+        m.write_u64(addr, 0xbbbb).unwrap();
+        m.zero_page(addr).unwrap();
+        assert_eq!(m.read_u64(addr).unwrap(), 0);
+        assert!(m.page_slice(addr).unwrap().iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -458,5 +494,87 @@ mod tests {
         }
         let _ = a.drain_dirty_pages(); // external cursor consumed on a only
         assert_eq!(a.digest(0), b.digest(0));
+    }
+
+    /// Pages of the memory the model test drives.
+    const MODEL_PAGES: usize = 6;
+
+    /// Applies one op decoded from `op` to `m` and to the plain-byte
+    /// reference `model`; returns the pages the op wrote or zeroed.
+    fn apply_model_op(m: &mut PhysMemory, model: &mut [u8], op: u64) -> Vec<u64> {
+        let size = model.len();
+        let at = (op >> 8) as usize % size;
+        let value = op.rotate_left(17) ^ 0x5a5a_0000_0000_0001;
+        let pages = |offset: usize, len: usize| -> Vec<u64> {
+            (offset / PAGE_SIZE..=(offset + len - 1) / PAGE_SIZE)
+                .map(|page| page as u64)
+                .collect()
+        };
+        match op % 5 {
+            // write_bytes: up to a page and a bit, so writes straddle pages;
+            // the content is zero on every fourth byte position.
+            0 | 1 => {
+                let len = 1 + (op >> 40) as usize % (PAGE_SIZE + 64);
+                let len = len.min(size - at);
+                let data: Vec<u8> = (0..len)
+                    .map(|i| if i % 4 == 0 { 0 } else { (value >> (i % 8 * 8)) as u8 | 1 })
+                    .collect();
+                m.write_bytes(m.base().offset(at as u64), &data).unwrap();
+                model[at..at + len].copy_from_slice(&data);
+                pages(at, len)
+            }
+            2 => {
+                let at = at.min(size - 8);
+                m.write_u64(m.base().offset(at as u64), value).unwrap();
+                model[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                pages(at, 8)
+            }
+            3 => {
+                m.zero_page(m.base().offset(at as u64)).unwrap();
+                let page = at / PAGE_SIZE;
+                model[page * PAGE_SIZE..(page + 1) * PAGE_SIZE].fill(0);
+                vec![page as u64]
+            }
+            // A write, then carry on with a clone: the clone must keep every
+            // bitmap, including the write's still-undrained dirty bits.
+            _ => {
+                let at = at.min(size - 8);
+                m.write_u64(m.base().offset(at as u64), value).unwrap();
+                model[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                *m = m.clone();
+                pages(at, 8)
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn random_writes_zeroes_and_clones_match_a_plain_byte_model(
+            ops in collection::vec(any::<u64>(), 1..48)
+        ) {
+            let size = MODEL_PAGES * PAGE_SIZE;
+            let mut m = PhysMemory::new(PhysAddr::new(0x8000_0000), size);
+            let mut model = vec![0u8; size];
+            for &op in &ops {
+                let touched = apply_model_op(&mut m, &mut model, op);
+                let mut bytes = vec![0u8; size];
+                m.read_bytes(m.base(), &mut bytes).unwrap();
+                prop_assert!(bytes == model, "contents diverged after op {op:#x}");
+                // Every page the op wrote or zeroed is reported, and only those.
+                prop_assert_eq!(m.drain_dirty_pages(), touched);
+                // A page the known-zero bitmap calls zero must be zero.
+                for page in 0..MODEL_PAGES {
+                    if m.maybe_nonzero.words[page / 64] & (1 << (page % 64)) == 0 {
+                        prop_assert!(
+                            model[page * PAGE_SIZE..(page + 1) * PAGE_SIZE].iter().all(|&b| b == 0),
+                            "page {page} holds data but is marked zero"
+                        );
+                    }
+                }
+                let mut fresh = PhysMemory::new(m.base(), size);
+                fresh.write_bytes(fresh.base(), &model).unwrap();
+                prop_assert_eq!(m.digest(7), fresh.digest(7));
+            }
+        }
     }
 }

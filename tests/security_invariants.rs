@@ -6,9 +6,12 @@ use sanctorum_core::api::SmApi;
 use sanctorum_core::error::SmError;
 use sanctorum_core::resource::ResourceId;
 use sanctorum_core::session::CallerSession;
-use sanctorum_enclave::image::EnclaveImage;
+use sanctorum_enclave::image::{EnclaveImage, ThreadSpec};
+use sanctorum_hal::addr::{PhysAddr, PAGE_SIZE};
 use sanctorum_hal::domain::{CoreId, DomainKind};
+use sanctorum_hal::isolation::RegionId;
 use sanctorum_hal::perm::MemPerms;
+use sanctorum_machine::guest::{GuestOp, GuestProgram, REG_A0};
 use sanctorum_os::adversary::{self, run_attack_battery};
 use sanctorum_os::os::Os;
 use sanctorum_os::system::{PlatformKind, System};
@@ -48,6 +51,79 @@ fn enclave_secrets_never_reach_os_memory_or_registers() {
     let mut page = vec![0u8; 4096];
     system.machine.phys_read(base.offset(4096 * 4), &mut page).unwrap();
     assert!(page.iter().all(|&b| b == 0));
+}
+
+fn region_base(system: &System, region: RegionId) -> PhysAddr {
+    let config = system.machine.config();
+    config.memory_base.offset((region.index() * config.dram_region_size) as u64)
+}
+
+/// Returns every byte of `region`'s DRAM, read with the SM's view.
+fn region_bytes(system: &System, region: RegionId) -> Vec<u8> {
+    let mut bytes = vec![0u8; system.machine.config().dram_region_size];
+    system.machine.phys_read(region_base(system, region), &mut bytes).unwrap();
+    bytes
+}
+
+#[test]
+fn teardown_zeroes_every_page_of_every_enclave_region_on_both_platforms() {
+    let secret = 0x5ec2_e7d4_7a11_u64;
+    let dma_pattern = [0xd3u8; 256];
+    // The data page starts all zero: only the guest's store at run time puts
+    // the secret there.
+    let (evbase, evlen) = EnclaveImage::default_evrange();
+    let data = evbase.offset(PAGE_SIZE as u64);
+    let program = GuestProgram::new(
+        "store-secret",
+        vec![
+            GuestOp::MovImm { dst: 1, value: data.as_u64() },
+            GuestOp::MovImm { dst: 2, value: secret },
+            GuestOp::Store { src: 2, addr: 1 },
+            GuestOp::MovImm { dst: REG_A0, value: 8 },
+            GuestOp::Ecall,
+            GuestOp::Exit,
+        ],
+    );
+    let image = EnclaveImage::new("store-secret", evbase, evlen)
+        .with_page(evbase, MemPerms::RX, b"enclave text page".to_vec())
+        .with_page(data, MemPerms::RW, vec![0u8; PAGE_SIZE])
+        .with_thread(ThreadSpec { entry_pc: 0, fault_handler_pc: None, program });
+    for platform in PlatformKind::ALL {
+        let (system, mut os) = boot(platform);
+        let region_size = system.machine.config().dram_region_size;
+        // While both regions the enclave will take are still the OS's, a
+        // device DMA-copies data into the last page of each.
+        let regions: Vec<RegionId> = os.free_regions().iter().rev().take(2).copied().collect();
+        system.machine.phys_write(os.staging_base(), &dma_pattern).unwrap();
+        for &region in &regions {
+            let last_page = region_base(&system, region).offset((region_size - PAGE_SIZE) as u64);
+            system
+                .machine
+                .dma_copy(os.staging_base(), last_page, dma_pattern.len() as u64)
+                .unwrap();
+            assert!(region_bytes(&system, region).windows(256).any(|w| w == dma_pattern));
+        }
+
+        let built = os.build_enclave(&image, 2).unwrap();
+        assert_eq!(built.regions, regions, "{platform:?}: the enclave took other regions");
+        os.run_thread(&built, built.main_thread(), CoreId::new(0), 10_000)
+            .unwrap();
+        let secret_bytes = secret.to_le_bytes();
+        assert!(
+            built
+                .regions
+                .iter()
+                .any(|&r| region_bytes(&system, r).windows(8).any(|w| w == secret_bytes)),
+            "{platform:?}: the guest's store never reached DRAM"
+        );
+
+        os.teardown_enclave(&built).unwrap();
+        for &region in &built.regions {
+            let bytes = region_bytes(&system, region);
+            let dirty = bytes.iter().position(|&b| b != 0);
+            assert_eq!(dirty, None, "{platform:?}: region {region:?} kept data after teardown");
+        }
+    }
 }
 
 #[test]
